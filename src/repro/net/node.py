@@ -148,11 +148,11 @@ class NetNode:
         """Bind both listeners (resolving port 0 to real ports) and, if
         configured, start the anti-entropy scheduler."""
         self._peer_server = await asyncio.start_server(
-            self._serve_peer, self.config.host, self.config.peer_port
+            self._accept_peer, self.config.host, self.config.peer_port
         )
         self.peer_port = self._peer_server.sockets[0].getsockname()[1]
         self._client_server = await asyncio.start_server(
-            self._serve_client, self.config.host, self.config.client_port
+            self._accept_client, self.config.host, self.config.client_port
         )
         self.client_port = self._client_server.sockets[0].getsockname()[1]
         if self.config.anti_entropy_period > 0:
@@ -173,17 +173,26 @@ class NetNode:
         await self._stopped.wait()  # pragma: blocking lifetime wait for the shutdown signal
 
     async def stop(self) -> None:
-        """Tear down listeners, outbound links, and the scheduler."""
+        """Tear down listeners, outbound links, connection handlers, and
+        the scheduler."""
         if self._anti_entropy_task is not None:
             await cancel_and_wait(self._anti_entropy_task)
             self._anti_entropy_task = None
-        for server in (self._peer_server, self._client_server):
-            if server is not None:
-                server.close()
-                await server.wait_closed()
+        servers = [
+            server
+            for server in (self._peer_server, self._client_server)
+            if server is not None
+        ]
+        for server in servers:
+            server.close()
         for peer_id in sorted(self._links):
             self._drop_link(peer_id)
+        # The connection handlers are tracked tasks: cancel and await
+        # them before waiting on the listeners, which from Python 3.12
+        # on also wait for every accepted connection to drop.
         await self._tasks.aclose()
+        for server in servers:
+            await server.wait_closed()
         if self.journal is not None:
             # A clean shutdown folds the WAL into a checkpoint so the
             # next start replays nothing; recovery does not depend on
@@ -193,6 +202,19 @@ class NetNode:
         self._stopped.set()
 
     # -- peer service (the SendPropagation side) ------------------------------
+
+    def _accept_peer(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Listener callback: serve the connection in a tracked task.
+
+        Handing ``asyncio.start_server`` the coroutine function instead
+        would leave the handler task to asyncio, which neither cancels
+        it on ``stop()`` nor awaits it in ``Server.wait_closed()`` on
+        Python 3.11; the task then outlives the node and is cancelled,
+        with a logged traceback, when the loop closes.
+        """
+        self._tasks.spawn(self._serve_peer(reader, writer), name="serve-peer")
 
     async def _serve_peer(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -384,6 +406,14 @@ class NetNode:
             )
 
     # -- client API -----------------------------------------------------------
+
+    def _accept_client(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Listener callback: a tracked task, as in :meth:`_accept_peer`."""
+        self._tasks.spawn(
+            self._serve_client(reader, writer), name="serve-client"
+        )
 
     async def _serve_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter

@@ -25,14 +25,24 @@ item's IVV, ...), the last vector sent.  On the wire a vector is::
 The delta form is *sparse*: an unchanged vector costs two bytes
 regardless of ``n``, which is what turns the paper's O(1)
 identical-replica detection into measured bytes.  The full form is the
-fallback whenever no cached base exists or the replica set grew (vector
-lengths differ); the sender's and receiver's caches advance
-independently, so the two fallback triggers that desynchronise them —
-an in-flight drop after encoding, and a crash/recovery — must
-explicitly invalidate (:meth:`WireCodec.invalidate_link`,
-:meth:`WireCodec.invalidate_node`; the simulated network calls both).
+fallback whenever no cached base exists, the replica set grew (vector
+lengths differ), or a change is 2**63 or more (no svarint holds it).
+The sender's and receiver's caches advance independently, so the two
+events that desynchronise them — an in-flight drop after encoding, and
+a crash/recovery — must explicitly invalidate
+(:meth:`WireCodec.invalidate_link`, :meth:`WireCodec.invalidate_node`;
+the simulated network calls both).
 A delta frame arriving without a cached base raises
 :class:`WireFormatError` rather than guessing.
+
+**Bulk full form.**  A full-form vector whose components are all below
+0x80 is, byte for byte, its ``n`` components: each one is a complete
+one-byte varint.  :meth:`Encoder.vv` writes such a run with one
+``bytes`` copy and :meth:`Decoder.vv` reads it with one slice, so an
+item IVV costs one C-level pass per vector instead of one varint call
+per component.  The format on the wire is unchanged; any other vector
+(or a run that is truncated or holds a continuation byte) takes the
+per-component loop.
 """
 
 from __future__ import annotations
@@ -148,16 +158,36 @@ class Encoder:
                 buf.append(0)
                 return
             changed = [k for k in range(len(counts)) if counts[k] != base[k]]
+            start = len(buf)
             buf.append(_DELTA_VV)
             write_uvarint(buf, len(changed))
             previous = -1
-            for k in changed:
-                write_uvarint(buf, k - previous - 1)
-                write_svarint(buf, counts[k] - base[k])
-                previous = k
+            try:
+                for k in changed:
+                    write_uvarint(buf, k - previous - 1)
+                    write_svarint(buf, counts[k] - base[k])
+                    previous = k
+                return
+            except WireFormatError:
+                # A change of 2**63 or more has no svarint form: rewind
+                # and send the vector in full instead.
+                del buf[start:]
+        buf.append(_FULL_VV)
+        n = len(counts)
+        if n < 0x80:
+            buf.append(n)
         else:
-            buf.append(_FULL_VV)
-            write_uvarint(buf, len(counts))
+            write_uvarint(buf, n)
+        try:
+            run = bytes(counts)
+        except ValueError:
+            run = None  # some component is past 0xFF
+        if run is not None and run.isascii():
+            # Every component is below 0x80, so each one's LEB128 form
+            # is the component byte itself: the whole vector is written
+            # in one C-level copy.
+            buf += run
+        else:
             for component in counts:
                 write_uvarint(buf, component)
 
@@ -227,7 +257,7 @@ class Decoder:
         self._dst = dst
         # Receiver-side stream cache for this directed link, resolved on
         # the first vector read of the frame and reused for the rest.
-        self._streams: dict[str, VersionVector | tuple[int, ...]] | None = None
+        self._streams: dict[str, tuple[int, ...]] | None = None
 
     def uvarint(self) -> int:
         data = self.data
@@ -273,7 +303,14 @@ class Decoder:
 
     def bytes_(self) -> bytes:
         data = self.data
-        length, pos = read_uvarint(data, self.pos)
+        pos = self.pos
+        # Single-byte length fast path, as in uvarint(): item names and
+        # most values are shorter than 128 bytes.
+        length = data[pos] if pos < len(data) else 0x80
+        if length < 0x80:
+            pos += 1
+        else:
+            length, pos = read_uvarint(data, pos)
         end = pos + length
         if end > len(data):
             raise WireFormatError(
@@ -284,7 +321,12 @@ class Decoder:
 
     def string(self) -> str:
         data = self.data
-        length, pos = read_uvarint(data, self.pos)
+        pos = self.pos
+        length = data[pos] if pos < len(data) else 0x80
+        if length < 0x80:
+            pos += 1
+        else:
+            length, pos = read_uvarint(data, pos)
         end = pos + length
         if end > len(data):
             raise WireFormatError(
@@ -329,31 +371,18 @@ class Decoder:
                 (self._src, self._dst), {}
             )
         if tag == _DELTA_VV:
-            cached = streams.get(stream_key) if streams is not None else None
-            if cached is None:
+            base = streams.get(stream_key) if streams is not None else None
+            if base is None:
                 raise WireFormatError(
                     f"delta version vector for stream {stream_key!r} from "
                     f"node {self._src} without a cached base — the sender "
                     "and receiver caches are out of sync"
                 )
-            # The cache normally holds a private template VersionVector
-            # (never handed out, so callers can't mutate it behind the
-            # codec's back); a bare tuple is also accepted so tests can
-            # inject a corrupted base directly.
-            if type(cached) is VersionVector:
-                template: VersionVector | None = cached
-                base = cached.as_tuple()
-            else:
-                template = None
-                base = cached
             if pos < len(data) and data[pos] == 0:
                 # The quiescent steady state: a zero-change delta is the
-                # cached base verbatim — one tag byte, one zero byte, a
-                # bulk buffer copy of the template, no per-component
-                # work at all.
+                # cached base verbatim — one tag byte, one zero byte, no
+                # per-component work at all.
                 self.pos = pos + 1
-                if template is not None:
-                    return template.copy()
                 return VersionVector.from_counts(base)
             n_changes, pos = read_uvarint(data, pos)
             if n_changes > MAX_SEQUENCE_ITEMS:
@@ -380,27 +409,47 @@ class Decoder:
                     )
             counts = tuple(mutable)
         elif tag == _FULL_VV:
-            n, pos = read_uvarint(data, pos)
+            n = data[pos] if pos < len(data) else 0x80
+            if n < 0x80:
+                pos += 1
+            else:
+                n, pos = read_uvarint(data, pos)
             if n > MAX_SEQUENCE_ITEMS:
                 raise WireFormatError(
                     f"declared element count {n} exceeds the "
                     f"{MAX_SEQUENCE_ITEMS} cap"
                 )
-            components = []
-            append = components.append
-            for _ in range(n):
-                component, pos = read_uvarint(data, pos)
-                append(component)
-            counts = tuple(components)
+            end = pos + n
+            run = data[pos:end]
+            if len(run) == n and run.isascii():
+                # n bytes all below 0x80 are n complete one-byte
+                # varints: the bytes are the components, read in one
+                # C-level pass.
+                counts = tuple(run)
+                pos = end
+            else:
+                components = []
+                append = components.append
+                for _ in range(n):
+                    component, pos = read_uvarint(data, pos)
+                    append(component)
+                counts = tuple(components)
         else:
             raise WireFormatError(f"unknown version-vector tag {tag:#x}")
         self.pos = pos
-        vv = VersionVector.from_counts(counts)
+        try:
+            vv = VersionVector.from_counts(counts)
+        except ValueError:
+            # Only a delta can get here: base plus change past 2**64 - 1.
+            raise WireFormatError(
+                "delta version vector produced a component past the "
+                "64-bit range"
+            ) from None
         if streams is not None:
-            # Cache a private copy as the next delta's template; the
-            # returned vector escapes to the caller and must not alias
-            # the codec's base.
-            streams[stream_key] = vv.copy()
+            # The immutable tuple is the next delta's base: it cannot
+            # alias the returned vector, which from_counts builds on a
+            # fresh array, so callers can never mutate the cache.
+            streams[stream_key] = counts
         return vv
 
 
@@ -434,9 +483,7 @@ class WireCodec:
         # invalidates on *every* disconnect, and a flat map would charge
         # each disconnect a scan of every cached stream in the process.
         self._sent: dict[tuple[int, int], dict[str, tuple[int, ...]]] = {}
-        self._seen: dict[
-            tuple[int, int], dict[str, VersionVector | tuple[int, ...]]
-        ] = {}
+        self._seen: dict[tuple[int, int], dict[str, tuple[int, ...]]] = {}
 
     def encode(self, src: int, dst: int, message: Any) -> bytes:
         """Encode ``message`` into a length-prefixed frame for the

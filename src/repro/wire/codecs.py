@@ -198,11 +198,18 @@ def _encode_propagation_reply(enc: Encoder, msg: PropagationReply) -> None:
 
 def _decode_propagation_reply(dec: Decoder) -> PropagationReply:
     source = dec.uvarint()
+    # List comprehensions over bound methods, not nested generators:
+    # the tails carry one (item, seqno) pair per shipped item.
+    string = dec.string
+    uvarint = dec.uvarint
     tails = tuple(
-        tuple((dec.string(), dec.uvarint()) for _ in range(dec.count()))
-        for _ in range(dec.count())
+        [
+            tuple([(string(), uvarint()) for _ in range(dec.count())])
+            for _ in range(dec.count())
+        ]
     )
-    items = tuple(dec.message() for _ in range(dec.count()))
+    message = dec.message
+    items = tuple([message() for _ in range(dec.count())])
     return PropagationReply(source, tails, items)
 
 

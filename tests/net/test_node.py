@@ -8,6 +8,7 @@ anti-entropy scheduler.  The multi-process path is covered by
 """
 
 import asyncio
+import logging
 
 import pytest
 
@@ -227,3 +228,45 @@ class TestScheduler:
                 await stop_nodes(nodes)
 
         assert asyncio.run(run())
+
+
+class TestTeardown:
+    def test_stop_leaves_no_handler_tasks_or_asyncio_errors(self, caplog):
+        """Inbound peer and client handlers are cancelled and awaited by
+        ``stop()``: none survives it, and the loop closes without asyncio
+        logging a ``CancelledError`` per connection."""
+        from repro.net.framing import read_blob, write_blob
+
+        async def run():
+            nodes = await start_nodes(3)
+            try:
+                nodes[0].node.update("a", Put(b"x"))
+                for puller in range(3):
+                    for peer in range(3):
+                        if peer != puller:
+                            await nodes[puller].sync_with(peer)
+                # A client connection still open when the node stops.
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", nodes[0].client_port
+                )
+                await write_blob(writer, b'{"op": "ping"}')
+                await read_blob(reader)
+                served = sum(node.sessions_served for node in nodes)
+            finally:
+                await stop_nodes(nodes)
+            writer.close()
+            current = asyncio.current_task()
+            pending = [
+                task
+                for task in asyncio.all_tasks()
+                if task is not current and not task.done()
+            ]
+            return served, [len(node._tasks) for node in nodes], pending
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            served, tracked, pending = asyncio.run(run())
+        assert served == 6
+        assert tracked == [0, 0, 0]
+        assert pending == []
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == []

@@ -118,6 +118,34 @@ def main() -> None:
     # 12. Zero-length payload: the message type id itself is missing.
     _write("empty_payload", _uvarint(0))
 
+    # 13. Full-form version vector declaring five components with only
+    #     three bytes left, every one below 0x80: the one-slice bulk
+    #     read must notice the short slice, not return three components.
+    _write(
+        "full_vv_count_overrun",
+        _frame(
+            _uvarint(2)  # PropagationRequest
+            + _uvarint(1)  # recipient
+            + b"\x00"  # full-form vv tag
+            + _uvarint(5)
+            + b"\x03\x00\x07"
+        ),
+    )
+
+    # 14. Full-form version vector whose last component is a dangling
+    #     continuation byte (0x87, frame ends): the slice has the
+    #     declared length but is not a run of one-byte varints.
+    _write(
+        "full_vv_dangling_continuation",
+        _frame(
+            _uvarint(2)  # PropagationRequest
+            + _uvarint(1)  # recipient
+            + b"\x00"  # full-form vv tag
+            + _uvarint(3)
+            + b"\x03\x00\x87"
+        ),
+    )
+
 
 if __name__ == "__main__":
     main()

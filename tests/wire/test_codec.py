@@ -134,6 +134,37 @@ class TestDeltaVectors:
         with pytest.raises(WireFormatError):
             codec.decode(0, 1, frame)
 
+    def test_component_past_64_bits_rejected(self):
+        codec = WireCodec()
+        codec.decode(
+            0, 1, codec.encode(0, 1, PropagationRequest(1, vv(2**64 - 1, 0)))
+        )
+        # Delta frame adding 1 to the saturated component: gap 0, +1.
+        payload = bytes([2, 1, 0x01, 1, 0, 2])  # zigzag(+1) = 2
+        with pytest.raises(WireFormatError, match="64-bit"):
+            codec.decode(0, 1, bytes([len(payload)]) + payload)
+
+    def test_change_past_the_svarint_range_goes_full(self):
+        """A jump of 2**63 or more has no zigzag varint: the vector
+        travels in full form and both caches stay in step."""
+        codec = WireCodec()
+        codec.decode(0, 1, codec.encode(0, 1, PropagationRequest(1, vv(0, 0))))
+        jump = PropagationRequest(1, vv(2**64 - 1, 0))
+        frame = codec.encode(0, 1, jump)
+        assert frame[3] == 0x00  # full-form tag after prefix, type, recipient
+        assert codec.decode(0, 1, frame) == jump
+        after = PropagationRequest(1, vv(2**64 - 1, 1))
+        assert codec.decode(0, 1, codec.encode(0, 1, after)) == after
+
+    def test_decoded_vector_does_not_alias_the_cached_base(self):
+        codec = WireCodec()
+        message = PropagationRequest(1, vv(4, 4))
+        decoded = codec.decode(0, 1, codec.encode(0, 1, message))
+        decoded.dbvv.increment(0)
+        # The next (zero-change delta) frame still decodes to the sent
+        # vector, not the caller's mutated copy.
+        assert codec.decode(0, 1, codec.encode(0, 1, message)) == message
+
 
 class TestInvalidation:
     def test_invalidate_link_clears_only_that_direction(self):

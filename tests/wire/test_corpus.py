@@ -13,8 +13,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.messages import ItemPayload, PropagationReply
+from repro.core.version_vector import VersionVector
 from repro.errors import WireFormatError
 from repro.wire.codec import MAX_FRAME_LEN, WireCodec
+from repro.wire.varint import read_uvarint, write_uvarint
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -30,7 +33,7 @@ def _corpus_files() -> list[Path]:
 def test_corpus_is_present():
     # The corpus only protects anything while it exists; a refactor that
     # drops the directory must fail loudly.
-    assert len(_corpus_files()) >= 12
+    assert len(_corpus_files()) >= 14
 
 
 @pytest.mark.parametrize("path", _corpus_files(), ids=lambda p: p.stem)
@@ -89,6 +92,43 @@ def test_corpus_frames_match_their_regeneration():
         for name, blob in before.items():
             (CORPUS / name).write_bytes(blob)
         sys.modules.pop("_corpus_regen", None)
+
+
+@pytest.mark.parametrize(
+    "stem", ["full_vv_count_overrun", "full_vv_dangling_continuation"]
+)
+def test_short_full_vector_is_reported_as_truncated(stem):
+    """The bulk full-form read hands a short or unterminated run to the
+    varint loop, which names the truncation; a read that ran past the
+    frame would only fail later, at the unconsumed-bytes check."""
+    with pytest.raises(WireFormatError, match="truncated varint"):
+        WireCodec().decode(0, 1, _load(CORPUS / f"{stem}.hex"))
+
+
+def test_reply_with_full_ivvs_cut_at_every_offset_is_rejected():
+    """A ``PropagationReply`` payload cut at any byte, re-framed with a
+    matching length prefix, raises ``WireFormatError`` — never the
+    ``IndexError``/``ValueError`` of a bulk vector read that trusted a
+    short or unterminated slice.  The IVVs cover both full-form paths:
+    all components below 0x80, and components that need several bytes.
+    """
+    reply = PropagationReply(
+        0,
+        ((("a", 1),), (("b", 2),)),
+        (
+            ItemPayload("a", b"x" * 130, VersionVector.from_counts(range(32))),
+            ItemPayload("b", b"y", VersionVector.from_counts((5, 300, 2**64 - 1))),
+        ),
+    )
+    frame = WireCodec(delta_vv=False).encode(0, 1, reply)
+    _, start = read_uvarint(frame, 0)
+    payload = frame[start:]
+    assert WireCodec().decode(0, 1, frame) == reply
+    for cut in range(len(payload)):
+        buf = bytearray()
+        write_uvarint(buf, cut)
+        with pytest.raises(WireFormatError):
+            WireCodec().decode(0, 1, bytes(buf) + payload[:cut])
 
 
 def test_max_frame_len_is_the_shared_cap():

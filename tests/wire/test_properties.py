@@ -13,10 +13,14 @@ Three families:
 * **hostile frames** — truncation and byte corruption must surface as
   :class:`WireFormatError` (or a clean decode), never as
   ``struct.error`` / ``IndexError`` / ``UnicodeDecodeError`` from the
-  decoder's guts.
+  decoder's guts;
+* **vector byte identity** — every version-vector frame equals, byte
+  for byte, the one a plain per-component LEB128 encoder of the
+  documented grammar produces, so the codec's bulk paths cannot change
+  the wire format.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.baselines.agrawal_malpani import (
     AMRecord,
@@ -60,7 +64,7 @@ from repro.substrate.operations import (
     Put,
     Truncate,
 )
-from repro.wire import WireCodec, registered_codecs
+from repro.wire import WireCodec, codec_for_class, registered_codecs
 
 node_ids = st.integers(0, 40)
 seqnos = st.integers(0, 2**48)
@@ -259,3 +263,122 @@ def test_corrupt_frames_never_raise_untyped_errors(message, index, flip):
         raise  # would indicate a missing bound check — fail loudly
     # A corrupt frame may also decode to *some* message; what it must
     # never do is leak struct.error / IndexError / UnicodeDecodeError.
+
+
+# -- vector byte identity ----------------------------------------------------
+
+
+def _ref_uvarint(value):
+    out = bytearray()
+    while value >= 0x80:
+        out.append((value & 0x7F) | 0x80)
+        value >>= 7
+    out.append(value)
+    return bytes(out)
+
+
+def _ref_svarint(value):
+    return _ref_uvarint((value << 1) ^ (value >> 63))
+
+
+def _ref_vv(counts, base):
+    """The grammar of the repro.wire.codec docstring, one component at a
+    time: sparse delta against ``base`` when it has the same length and
+    every change fits a 64-bit zigzag varint, the full form otherwise."""
+    if base is not None and len(base) == len(counts):
+        changed = [k for k in range(len(counts)) if counts[k] != base[k]]
+        if all(-(2**63) <= counts[k] - base[k] < 2**63 for k in changed):
+            out = b"\x01" + _ref_uvarint(len(changed))
+            previous = -1
+            for k in changed:
+                out += _ref_uvarint(k - previous - 1)
+                out += _ref_svarint(counts[k] - base[k])
+                previous = k
+            return out
+    return b"\x00" + _ref_uvarint(len(counts)) + b"".join(map(_ref_uvarint, counts))
+
+
+def _ref_item_frame(name, value, vv_bytes):
+    raw_name = name.encode("utf-8")
+    payload = (
+        _ref_uvarint(codec_for_class(ItemPayload).type_id)
+        + _ref_uvarint(len(raw_name))
+        + raw_name
+        + _ref_uvarint(len(value))
+        + value
+        + vv_bytes
+    )
+    return _ref_uvarint(len(payload)) + payload
+
+
+#: Components at the varint width edges: one byte, two, three, and the
+#: 64-bit ceiling.
+edge_components = st.one_of(
+    st.integers(0, 3),
+    st.integers(125, 130),
+    st.integers(16381, 16386),
+    st.integers(2**64 - 3, 2**64 - 1),
+    st.integers(0, 2**64 - 1),
+)
+
+
+def _vectors_of_length(n):
+    one_byte = st.lists(st.integers(0, 0x7F), min_size=n, max_size=n)
+    # All one-byte components but one that crosses 0x80.
+    one_crossing = st.tuples(
+        one_byte, st.integers(0, max(n - 1, 0)), st.integers(0x80, 2**64 - 1)
+    ).map(lambda t: [t[2] if k == t[1] else c for k, c in enumerate(t[0])])
+    return st.one_of(
+        one_byte,
+        one_crossing,
+        st.lists(edge_components, min_size=n, max_size=n),
+    )
+
+
+def _vector_streams():
+    """A stream of same-length vectors, each either fresh or the
+    previous one with a single component moved (a sparse delta), plus
+    the occasional vector of another length (the full-form fallback)."""
+    return st.integers(0, 64).flatmap(
+        lambda n: st.lists(
+            st.one_of(
+                _vectors_of_length(n),
+                st.tuples(st.integers(0, 63), st.integers(-3, 3)),
+                st.integers(0, 64).flatmap(_vectors_of_length),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+
+
+@settings(max_examples=150)
+@given(
+    _vector_streams(),
+    st.booleans(),
+    st.sampled_from(["a", "n" * 127, "n" * 128]),
+    st.binary(max_size=200),
+)
+@example([[], [5], [5]], True, "a", b"")
+@example([[1] * 32, [1] * 31 + [128], [2**64 - 1] + [0] * 31], True, "a", b"")
+def test_vector_frames_match_a_per_component_reference(
+    steps, delta_vv, name, value
+):
+    codec = WireCodec(delta_vv=delta_vv)
+    previous = None
+    for step in steps:
+        if isinstance(step, tuple):
+            if not previous:
+                continue
+            index, move = step
+            counts = list(previous)
+            index %= len(counts)
+            counts[index] = min(max(counts[index] + move, 0), 2**64 - 1)
+        else:
+            counts = step
+        message = ItemPayload(name, value, VersionVector.from_counts(counts))
+        frame = codec.encode(0, 1, message)
+        base = previous if delta_vv else None
+        assert frame == _ref_item_frame(name, value, _ref_vv(counts, base))
+        assert codec.decode(0, 1, frame) == message
+        previous = tuple(counts)
