@@ -4,11 +4,7 @@ One update-propagation session (paper Figs. 2–3) is a pull: the
 recipient sends its DBVV, the source answers with either
 :class:`~repro.core.messages.YouAreCurrent` or a
 :class:`~repro.core.messages.PropagationReply`, and the recipient
-adopts the reply.  That machine used to live inline in the simulator's
-protocol adapter, welded to the in-process transport; the networked
-mode (:mod:`repro.net`) runs the *same* session over TCP sockets, so
-the machine is factored out here with every I/O edge left to the
-caller:
+adopts the reply.  The machine leaves every I/O edge to the caller:
 
 * :class:`PullSession` is the recipient side — :meth:`PullSession.
   request` produces the message to send, :meth:`PullSession.conclude`
@@ -24,6 +20,14 @@ connections) is entirely the caller's business.  The simulator's
 :mod:`repro.net` consume exactly these entry points, which is what the
 differential parity harness relies on: both deployments drive
 bit-identical protocol logic.
+
+Like the node itself, these entry points trust their caller: they run
+no validator.  A caller that got its message from outside the process
+validates it once, where the bytes became an object —
+:mod:`repro.net` on every decoded frame, :mod:`repro.durable` on
+every replayed record (lint rule R13 holds those layers to it).  The
+simulator's messages never leave the process (its encoded mode decodes
+frames it has just encoded), so it validates nothing.
 """
 
 from __future__ import annotations
@@ -36,10 +40,6 @@ from repro.core.messages import (
     YouAreCurrent,
 )
 from repro.core.node import EpidemicNode
-from repro.core.validate import (
-    validate_propagation_reply,
-    validate_propagation_request,
-)
 from repro.errors import ProtocolStateError
 
 __all__ = ["PullOutcome", "PullSession", "respond"]
@@ -102,11 +102,7 @@ class PullSession:
             return PullOutcome(identical=True, adopted=(), conflicts=0)
         if not isinstance(answer, PropagationReply):
             raise ProtocolStateError("PropagationReply", answer)
-        # The answer may have crossed a trust boundary (a TCP frame in
-        # repro.net, a replayed WAL record); adopt nothing a validator
-        # has not sanctioned (lint rule R13).
-        reply = validate_propagation_reply(answer, self._node)
-        outcome, _intra = self._node.accept_propagation(reply)
+        outcome, _intra = self._node.accept_propagation(answer)
         return PullOutcome(
             identical=False,
             adopted=tuple(outcome.adopted),
@@ -120,5 +116,4 @@ def respond(
     """Source side of one pull: the paper's ``SendPropagation`` answer
     to ``request``.  Pure computation — the caller delivers the result
     back to the recipient however it likes."""
-    checked = validate_propagation_request(request, node)
-    return node.send_propagation(checked)
+    return node.send_propagation(request)

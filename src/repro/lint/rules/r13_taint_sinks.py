@@ -11,10 +11,12 @@ engine's :data:`~repro.lint.taint.SANCTIONED_SANITIZERS`).  A cap guard
 only a sanitizer clears taint, and only by reassignment
 (``answer = validate_session_answer(answer, ...)``).
 
-Scoped to the trust boundary: ``repro.net``, ``repro.durable``, and the
-sans-I/O session driver ``repro/core/session.py``.  The simulator-side
-core below the boundary receives only in-process objects and is
-exercised by R4 instead.
+Scoped to the layers where outside bytes become objects: ``repro.net``
+and ``repro.durable``.  Validation happens there, once per crossing;
+everything below — the sans-I/O session driver
+(``repro.core.session``'s ``respond`` / ``PullSession.conclude``, still
+sinks) and the node it drives — trusts its caller and is exercised by
+R4 instead.
 """
 
 from __future__ import annotations
@@ -35,9 +37,7 @@ class TaintedStateSinkRule(LintRule):
     )
 
     def applies_to(self, scope: FileScope) -> bool:
-        return scope.in_subpackage("net", "durable") or (
-            scope.in_subpackage("core") and scope.filename == "session.py"
-        )
+        return scope.in_subpackage("net", "durable")
 
     def check(self, tree: ast.Module, scope: FileScope) -> Iterator[Violation]:
         report = analyze_module(tree, scope)

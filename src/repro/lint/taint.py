@@ -12,8 +12,9 @@ The model (deliberately simple, calibrated to this codebase):
 **Sources.**  A call to a decode-boundary function
 (:data:`FRAME_SOURCES`: ``decode``, ``json.loads``, ``read_frame``,
 ``decode_record``, ...) produces a TAINTED value, as does reading a
-parameter named ``request`` or ``answer`` (the two names the sans-I/O
-session driver uses for peer-supplied messages).  Inside
+parameter named ``request`` or ``answer`` (the names the net layer's
+client-op handler and the session entry points give peer-supplied
+messages).  Inside
 ``repro.wire``, the ``Decoder`` field readers (``uvarint``, ``bytes_``,
 ``vv``, ...) are sources too — every field of a frame is attacker
 data.  ``Decoder.count()`` yields a CAPPED value: still untrusted, but
@@ -100,9 +101,9 @@ DECODER_READS = frozenset(
 #: Cap-checked readers: untrusted but size-bounded (CAPPED).
 CAPPED_READS = frozenset({"count"})
 
-#: Parameters holding peer-supplied messages by convention (the session
-#: driver's ``respond(node, request)`` / ``conclude(answer)`` and the
-#: net layer's client-op handler).
+#: Parameters holding peer-supplied messages by convention (the net
+#: layer's client-op handler; the session driver's ``respond(node,
+#: request)`` / ``conclude(answer)`` use the same names).
 UNTRUSTED_PARAMS = frozenset({"request", "answer"})
 
 #: The registered sanitizer set.  ``repro.core.validate.__all__`` must

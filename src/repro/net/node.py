@@ -42,7 +42,7 @@ from typing import Any
 
 from repro.cluster.scheduler import PeerSelector, RandomSelector
 from repro.core.node import EpidemicNode
-from repro.core.messages import PropagationReply, PropagationRequest
+from repro.core.messages import PropagationReply
 from repro.core.session import PullOutcome, PullSession, respond
 from repro.core.validate import (
     validate_item_name,
@@ -238,14 +238,9 @@ class NetNode:
             while True:
                 frame = await read_frame(reader)
                 message = codec.decode(peer_id, self.node_id, frame)
-                if not isinstance(message, PropagationRequest):
-                    raise WireFormatError(
-                        "peer connection carried a "
-                        f"{type(message).__name__}; only "
-                        "PropagationRequest is served"
-                    )
-                checked = validate_propagation_request(message, self.node)
-                answer = respond(self.node, checked)
+                # Anything but a sound PropagationRequest drops the peer.
+                request = validate_propagation_request(message, self.node)
+                answer = respond(self.node, request)
                 out = codec.encode(self.node_id, peer_id, answer)
                 self._count_frame(answer, out)
                 # The served-session transition is complete *before* the
@@ -306,9 +301,8 @@ class NetNode:
                     peer_id, self.node_id, answer_frame
                 )
                 # The frame came off a socket: nothing it claims is
-                # trusted until validated (R13) — the session driver
-                # deep-checks the reply body again, but the source-id
-                # match against the dialed peer only this layer knows.
+                # trusted until validated (R13), including that the
+                # dialed peer is the one answering.
                 answer = validate_session_answer(answer, peer_id, self.node)
                 outcome = pull.conclude(answer)
                 if self.journal is not None and isinstance(
@@ -442,9 +436,13 @@ class NetNode:
         finally:
             writer.close()
 
-    async def _handle_client_op(
-        self, request: dict[str, Any]
-    ) -> dict[str, Any]:
+    async def _handle_client_op(self, request: object) -> dict[str, Any]:
+        if not isinstance(request, dict):
+            # Valid JSON need not be an object: `[]`, `null` and `5` are
+            # bad requests, answered like any other.
+            raise TypeError(
+                f"expected a JSON object, got {type(request).__name__}"
+            )
         op = request.get("op")
         if op == "ping":
             return {"ok": True, "node": self.node_id}

@@ -17,6 +17,12 @@ def serve_request(node, codec, frame):
     return node.send_propagation(checked)
 
 
+def serve_frame(self, codec, frame):
+    message = codec.decode(frame)
+    request = validate_propagation_request(message, self.node)
+    return respond(self.node, request)
+
+
 def adopt_answer(node, peer_id, answer):
     answer = validate_session_answer(answer, peer_id, node)
     node.accept_propagation(answer)

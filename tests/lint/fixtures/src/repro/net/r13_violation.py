@@ -11,3 +11,10 @@ def apply_frame_directly(node, codec, frame):
 def adopt_answer(node, answer):
     # ``answer`` names a trust-boundary parameter: tainted on entry.
     node.accept_propagation(answer)
+
+
+def serve_frame(self, codec, frame):
+    # The server side of a peer session: the decoded request reaches
+    # the respond() sink without passing a validator.
+    message = codec.decode(frame)
+    return respond(self.node, message)

@@ -29,7 +29,7 @@ VIOLATION_FIXTURES = {
     "R10": (FIXTURES / "src/repro/net/r10_violation.py", 2),
     "R11": (FIXTURES / "src/repro/net/r11_violation.py", 2),
     "R12": (FIXTURES / "src/repro/net/r12_violation.py", 3),
-    "R13": (FIXTURES / "src/repro/net/r13_violation.py", 2),
+    "R13": (FIXTURES / "src/repro/net/r13_violation.py", 3),
     "R14": (FIXTURES / "src/repro/wire/r14_violation.py", 3),
     "R15": (FIXTURES / "src/repro/net/r15_violation.py", 2),
     "R16": (FIXTURES / "src/repro/cluster/r16_violation.py", 4),

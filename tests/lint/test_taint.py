@@ -4,9 +4,9 @@ Three layers:
 
 * **engine units** — the lattice, sources, sanitizers, cap-guard
   downgrade, and interprocedural summaries, on tiny synthetic modules;
-* **acceptance** — the *real* ``repro.core.session``,
-  ``repro.net.node`` and ``repro.durable.journal`` are pinned clean,
-  and seeded-taint variants of the same shapes are pinned flagged;
+* **acceptance** — the *real* ``repro.net.node`` and
+  ``repro.durable.journal`` are pinned clean, and seeded-taint variants
+  of the same shapes are pinned flagged;
 * **mutation** — neutralizing any single ``validate_*`` call in a wired
   module makes R13 fire, proving every call site is load-bearing (none
   is decorative).
@@ -236,7 +236,6 @@ class TestSanitizerRegistry:
 
 
 WIRED_MODULES = [
-    "repro/core/session.py",
     "repro/net/node.py",
     "repro/durable/journal.py",
 ]
@@ -254,18 +253,37 @@ class TestAcceptance:
         violations = _lint_real(rel_path)
         assert violations == [], [v.render() for v in violations]
 
-    def test_seeded_taint_in_session_shape_is_flagged(self):
-        # conclude() with the validator call removed — the pre-R13 shape.
+    def test_seeded_taint_in_serve_shape_is_flagged(self):
+        # The server side of a peer session with its validator removed:
+        # the decoded frame goes straight into the respond() sink.
         source = (
-            "class PullSession:\n"
-            "    def conclude(self, answer):\n"
-            "        outcome, _ = self._node.accept_propagation(answer)\n"
-            "        return outcome\n"
+            "async def serve(self, codec, reader):\n"
+            "    message = codec.decode(0, 1, await read_frame(reader))\n"
+            "    return respond(self.node, message)\n"
         )
-        hits = lint_source(
-            source, "src/repro/core/session.py", rules_by_id("R13")
-        )
+        hits = lint_source(source, "src/repro/net/node.py", rules_by_id("R13"))
         assert len(hits) == 1 and hits[0].rule_id == "R13"
+
+    def test_validated_serve_shape_is_clean(self):
+        source = (
+            "async def serve(self, codec, reader):\n"
+            "    message = codec.decode(0, 1, await read_frame(reader))\n"
+            "    request = validate_propagation_request(message, self.node)\n"
+            "    return respond(self.node, request)\n"
+        )
+        assert lint_source(source, "src/repro/net/node.py", ALL_RULES) == []
+
+    def test_session_driver_is_outside_the_boundary(self):
+        # repro.core.session trusts its caller; validation is the net
+        # and durable layers' job, so R13 does not scan it.
+        source = (
+            "def respond(node, request):\n"
+            "    return node.send_propagation(request)\n"
+        )
+        assert (
+            lint_source(source, "src/repro/core/session.py", rules_by_id("R13"))
+            == []
+        )
 
     def test_seeded_taint_in_net_shape_is_flagged(self):
         source = (

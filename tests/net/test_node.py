@@ -8,12 +8,20 @@ anti-entropy scheduler.  The multi-process path is covered by
 """
 
 import asyncio
+import json
 import logging
+import sys
 
 import pytest
 
+import repro.core.validate as validate_module
+import repro.net.node as net_node_module
+from repro.core.node import EpidemicNode
+from repro.core.session import PullSession, respond
+from repro.durable.records import validate_record
 from repro.errors import NetworkSessionError
 from repro.net.config import NodeConfig, PeerAddress
+from repro.net.framing import read_blob, write_blob
 from repro.net.harness import _free_ports
 from repro.net.node import NetNode
 from repro.substrate.operations import Put
@@ -213,6 +221,108 @@ class TestClientOps:
         assert "frobnicate" in response["error"]
 
 
+    @pytest.mark.parametrize("blob", [b"[]", b"null", b"5"])
+    def test_non_object_request_is_a_bad_request(self, blob, caplog):
+        """Valid JSON that is not an object gets an error reply; the
+        handler survives and serves the next request on the same
+        connection."""
+
+        async def run():
+            nodes = await start_nodes(2)
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", nodes[0].client_port
+                )
+                try:
+                    await write_blob(writer, blob)
+                    bad = json.loads(await read_blob(reader))
+                    await write_blob(writer, b'{"op": "ping"}')
+                    ping = json.loads(await read_blob(reader))
+                finally:
+                    writer.close()
+                return bad, ping
+            finally:
+                await stop_nodes(nodes)
+
+        with caplog.at_level(logging.ERROR):
+            bad, ping = asyncio.run(run())
+        assert bad["ok"] is False
+        assert bad["error"].startswith("bad request: ")
+        assert ping == {"ok": True, "node": 0}
+        assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
+
+
+def _recording(calls, name, real):
+    """``real``, logging ``(name, node)`` to ``calls`` on every call;
+    every validator takes the node it checks against last."""
+
+    def wrapper(*args):
+        calls.append((name, args[-1]))
+        return real(*args)
+
+    return wrapper
+
+
+class TestValidationCrossings:
+    """Each frame is validated exactly once, where it leaves the
+    socket; in-process sessions are not a trust crossing and run no
+    validator at all."""
+
+    def test_sync_validates_request_once_and_answer_once(self, monkeypatch):
+        calls = []
+        for name in ("validate_propagation_request", "validate_session_answer"):
+            real = getattr(net_node_module, name)
+            monkeypatch.setattr(
+                net_node_module, name, _recording(calls, name, real)
+            )
+
+        async def run():
+            nodes = await start_nodes(2)
+            try:
+                nodes[0].node.update("a", Put(b"x"))
+                outcome = await nodes[1].sync_with(0)
+                return nodes, outcome
+            finally:
+                await stop_nodes(nodes)
+
+        nodes, outcome = asyncio.run(run())
+        assert outcome.adopted == ("a",)
+        assert calls == [
+            ("validate_propagation_request", nodes[0].node),
+            ("validate_session_answer", nodes[1].node),
+        ]
+
+    def test_in_process_session_runs_no_validator(self, monkeypatch):
+        calls = []
+        by_identity = {
+            id(getattr(validate_module, name)): name
+            for name in validate_module.__all__
+            if name.startswith("validate_")
+        }
+        by_identity[id(validate_record)] = "validate_record"
+        # Rebind every module-level reference to a validator, wherever
+        # it was imported to, so a call anywhere on the session path is
+        # recorded.
+        for module_name, module in list(sys.modules.items()):
+            if not module_name.startswith("repro.") or module is None:
+                continue
+            for attr, value in list(vars(module).items()):
+                name = by_identity.get(id(value))
+                if name is not None:
+                    monkeypatch.setattr(
+                        module, attr, _recording(calls, name, value)
+                    )
+
+        source = EpidemicNode(0, 2, ITEMS)
+        recipient = EpidemicNode(1, 2, ITEMS)
+        source.update("a", Put(b"x"))
+        for _ in range(2):  # one PropagationReply, one YouAreCurrent
+            pull = PullSession(recipient)
+            pull.conclude(respond(source, pull.request()))
+        assert recipient.read("a") == b"x"
+        assert calls == []
+
+
 class TestScheduler:
     def test_background_anti_entropy_converges_two_nodes(self):
         async def run():
@@ -235,7 +345,6 @@ class TestTeardown:
         """Inbound peer and client handlers are cancelled and awaited by
         ``stop()``: none survives it, and the loop closes without asyncio
         logging a ``CancelledError`` per connection."""
-        from repro.net.framing import read_blob, write_blob
 
         async def run():
             nodes = await start_nodes(3)
