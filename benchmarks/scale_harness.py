@@ -23,14 +23,14 @@ off in both arms so cross-checking never pollutes the timings.
 Each grid cell reports a *per-phase* breakdown alongside the full-run
 average: the ``converge`` phase (rounds up to and including the first
 round the cluster converged — real anti-entropy data movement) and the
-``steady_state`` phase (everything after — the quiescent rounds the
-quiescent-pair fast path turns into stamp replays).  The two phases
+``steady_state`` phase (everything after — the quiescent rounds whose
+sessions the quiescent fast path skips).  The two phases
 have very different cost profiles; a regression in either is invisible
 in the blended average once the other dominates.
 
 ``run_quiescent_suite`` is the dedicated quiescent-heavy configuration
-(n=128 on a deterministic ring, so every ordered pair's stamp warms
-within a few rounds): a converged, idle cluster measured with the
+(n=128 on a deterministic ring, so every ordered pair is sized within
+one trip of the ring): a converged, idle cluster measured with the
 fast path on and off, in both byte-accounting modes, pinning the
 skip speedup that CI's bench gate guards.
 
@@ -94,7 +94,7 @@ REPORT_NAME = "BENCH_scale.json"
 
 # The quiescent-heavy configuration: the issue's n=128 cluster, idle
 # after convergence, on a deterministic ring so every ordered pair
-# repeats within n rounds and the per-pair stamps warm immediately.
+# repeats within n rounds and its identical exchange is sized at once.
 QUIESCENT_NODES = 128
 QUIESCENT_ITEMS = 1000
 QUIESCENT_ROUNDS = 60
@@ -285,8 +285,8 @@ def run_quiescent_config(
     """One arm of the quiescent-heavy configuration.
 
     Burst, converge (timed as its own phase), a short warm-up window
-    (the fast path needs one observed exchange per pair — one round
-    trip of the ring — before stamps replay), then ``timed_rounds`` of
+    (the fast path sizes each ordered pair's exchange the first time
+    it skips it — one trip of the ring), then ``timed_rounds`` of
     pure quiescence.  The quiescent figure is the steady state of every
     long staleness experiment; the warm-up is excluded from it the same
     way a cache benchmark excludes its first pass.

@@ -233,6 +233,21 @@ class EpidemicNode:
         """Step 1 of a pull: the recipient's DBVV, ready to send."""
         return PropagationRequest(self.node_id, self.dbvv.copy())
 
+    def recipient_is_current(self, remote_dbvv: VersionVector) -> bool:
+        """``SendPropagation``'s opening test (Fig. 2): True when the
+        recipient's DBVV dominates-or-equals this node's, so the answer
+        is :class:`YouAreCurrent` and nothing moves.
+
+        Pure: the caller charges the comparison.  The simulator asks
+        this same question before it dispatches a session, so its skip
+        and the real session can never disagree.  Conflicts and log
+        gaps do not enter into it, exactly as in ``send_propagation``.
+        """
+        # Equal vectors, the steady state, cost one buffer comparison.
+        if remote_dbvv._counts == self.dbvv._counts:
+            return True
+        return remote_dbvv.dominates_or_equal(self.dbvv)
+
     def send_propagation(
         self, request: PropagationRequest
     ) -> YouAreCurrent | PropagationReply:
@@ -249,7 +264,7 @@ class EpidemicNode:
         remote = request.dbvv
         self.counters.vv_comparisons += 1
         self.counters.vv_components_touched += self.n_nodes
-        if remote.dominates_or_equal(self.dbvv):
+        if self.recipient_is_current(remote):
             return YouAreCurrent(self.node_id)
 
         tails: list[tuple[tuple[str, int], ...]] = []

@@ -13,7 +13,12 @@ from typing import TYPE_CHECKING
 
 from repro.core.conflicts import ConflictReporter
 from repro.core.delta import DeltaEpidemicNode
-from repro.core.messages import OutOfBoundReply, PropagationReply
+from repro.core.messages import (
+    OutOfBoundReply,
+    PropagationReply,
+    PropagationRequest,
+    YouAreCurrent,
+)
 from repro.core.node import EpidemicNode
 from repro.core.session import PullSession, respond
 from repro.errors import (
@@ -25,6 +30,7 @@ from repro.errors import (
 
 if TYPE_CHECKING:
     from repro.durable.journal import NodeJournal
+    from repro.wire import WireCodec
 from repro.interfaces import (
     ProtocolNode,
     SessionPhase,
@@ -50,11 +56,6 @@ class DBVVProtocolNode(ProtocolNode):
     """
 
     protocol_name = "dbvv"
-
-    # Identical pull: request is WORD_SIZE + vv_wire_size(dbvv) with the
-    # vectors equal across the pair, reply is the constant YouAreCurrent
-    # — so the exchange is the same size in either direction.
-    symmetric_identical_exchange = True
 
     #: The epidemic-node implementation this adapter wraps; the
     #: operation-shipping variant overrides it.
@@ -205,6 +206,47 @@ class DBVVProtocolNode(ProtocolNode):
         stats.conflicts = outcome.conflicts
         return stats
 
+    def answers_current(
+        self, initiator: ProtocolNode, codec: WireCodec | None = None
+    ) -> bool:
+        """True when ``initiator.sync_with(self)`` would end in
+        ``SendPropagation``'s O(1) check: the initiator's DBVV
+        dominates-or-equals this node's, the answer is
+        :class:`YouAreCurrent`, and neither replica changes.  It is the
+        node's own ``recipient_is_current``, the test
+        ``send_propagation`` opens with, read on the live vectors.
+
+        With ``codec``, also require that the request would travel on
+        the ``initiator -> self`` link as the codec's unchanged-vector
+        delta, so the real session would leave every codec cache as it
+        is.  A pair that ``sync_with`` would reject (another protocol,
+        another propagation mode) is never current.
+        """
+        if (
+            not isinstance(initiator, DBVVProtocolNode)
+            or initiator.node_class is not self.node_class
+        ):
+            return False
+        remote = initiator.node.dbvv
+        return self.node.recipient_is_current(remote) and (
+            codec is None
+            or codec.repeats_request(
+                initiator.node_id, self.node_id, remote.as_tuple()
+            )
+        )
+
+    def identical_exchange(
+        self, initiator: ProtocolNode
+    ) -> tuple[PropagationRequest, YouAreCurrent]:
+        """The request ``initiator`` sends this node and the answer it
+        gets back when :meth:`answers_current` holds."""
+        if not isinstance(initiator, DBVVProtocolNode):
+            raise TypeError(
+                f"no DBVV exchange with {type(initiator).__name__}"
+            )
+        request = initiator.node.make_propagation_request()
+        return request, YouAreCurrent(self.node_id)
+
     # -- out-of-bound copying (protocol-specific extension) -------------------
 
     def fetch_out_of_bound(
@@ -257,7 +299,7 @@ class DBVVProtocolNode(ProtocolNode):
         is not a per-origin prefix — either voids the equal-DBVV ⟹
         equal-state argument (see ``EpidemicNode.has_open_log_gaps``).
 
-        The quiescent fast path calls this per scheduled session, so the
+        ``converged()`` calls this for every replica every round, so the
         last certified version is memoized.  The memo is returned only
         under live checks that *prove* recomputation would rebuild it:
         the DBVV tuple must be the identical cached object

@@ -26,10 +26,13 @@ import abc
 import enum
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Iterable, Protocol, runtime_checkable
 
 from repro.metrics.counters import NULL_COUNTERS, OverheadCounters
 from repro.substrate.operations import UpdateOperation
+
+if TYPE_CHECKING:
+    from repro.wire import WireCodec
 
 __all__ = [
     "SessionPhase",
@@ -316,17 +319,6 @@ class ProtocolNode(abc.ABC):
     #: Short protocol identifier used in experiment tables.
     protocol_name: str = "abstract"
 
-    #: True when the protocol's *identical* exchange is direction-
-    #: symmetric: with both replicas in the same state, the i←j and
-    #: j←i sessions move the same message and byte counts (e.g. the
-    #: paper's protocol, whose request size depends only on the DBVV
-    #: value — equal across an identical pair — and whose reply is the
-    #: constant-size YouAreCurrent).  The simulator's quiescent-pair
-    #: fast path uses this to stamp both directions of a pair from one
-    #: observed exchange; protocols that cannot promise symmetry leave
-    #: it False and simply warm each direction separately.
-    symmetric_identical_exchange: bool = False
-
     def __init__(
         self,
         node_id: int,
@@ -362,6 +354,33 @@ class ProtocolNode(abc.ABC):
         (or the protocol's documented weakness shows — that asymmetry is
         what the experiments measure).
         """
+
+    def answers_current(
+        self, initiator: "ProtocolNode", codec: WireCodec | None = None
+    ) -> bool:
+        """True when ``initiator.sync_with(self, ...)`` is certain to be
+        an identical two-message exchange that changes neither replica:
+        the protocol's own O(1) check would answer the request as
+        current.  With ``codec`` (the encoded network's codec), also
+        require that the exchange would leave every codec cache as it
+        is.  The simulator skips such a session and charges its
+        :meth:`identical_exchange` instead of dispatching it.
+
+        The default is "never": only a protocol whose session opens
+        with a version-vector certificate (the paper's DBVV check) can
+        know the outcome before the session runs.
+        """
+        return False
+
+    def identical_exchange(
+        self, initiator: "ProtocolNode"
+    ) -> tuple[_SizedMessage, _SizedMessage]:
+        """The ``(request, answer)`` messages of the exchange
+        :meth:`answers_current` predicts, for sizing it.  Only called
+        on protocols whose :meth:`answers_current` can hold."""
+        raise NotImplementedError(
+            f"{type(self).__name__} never answers a session as current"
+        )
 
     # -- introspection -------------------------------------------------------
 

@@ -12,8 +12,9 @@ sent something no honest peer sends.  Two anti-patterns hide it:
   instead of rejecting it.  Validators raise
   :class:`~repro.errors.ValidationError` instead.
 
-Scoped like R13/R14 to the trust boundary (wire, net, durable, and the
-session driver).
+Scoped like R13/R14 to the trust boundary: wire, net and durable.  The
+session driver (``repro/core/session.py``) trusts its caller and
+handles no decoded values, so it is outside.
 """
 
 from __future__ import annotations
@@ -34,9 +35,7 @@ class SwallowedValidationRule(LintRule):
     )
 
     def applies_to(self, scope: FileScope) -> bool:
-        return scope.in_subpackage("wire", "net", "durable") or (
-            scope.in_subpackage("core") and scope.filename == "session.py"
-        )
+        return scope.in_subpackage("wire", "net", "durable")
 
     def check(self, tree: ast.Module, scope: FileScope) -> Iterator[Violation]:
         report = analyze_module(tree, scope)

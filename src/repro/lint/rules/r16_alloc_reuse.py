@@ -1,8 +1,8 @@
 """R16 — fresh allocations on per-round hot paths with a reuse API.
 
 **Why.**  The round loop's cost budget is carried by object reuse, not
-just by algorithmic shape: the quiescent-pair fast path replays
-prebuilt stamps, the wire codec leases pooled :class:`Encoder` buffers
+just by algorithmic shape: the quiescent fast path replays exchanges
+sized once per pair, the wire codec leases pooled :class:`Encoder` buffers
 (``WireCodec._acquire``), and :class:`~repro.core.version_vector.
 VersionVector` exposes in-place mutators (``merge_from``,
 ``increment``) precisely so steady-state rounds allocate nothing.  One
@@ -41,21 +41,23 @@ from repro.lint.engine import FileScope, LintRule, Violation
 __all__ = ["AllocReuseRule", "HOT_PATH_NAMES"]
 
 #: Functions on the per-round critical path: the simulator's round and
-#: session loop (including the fast-path stamp machinery and network
-#: delivery) and the codec's encode direction.
+#: session loop (including the fast path's skip and network delivery)
+#: and the codec's encode direction and per-skip cache probe.  Every
+#: entry must name a function defined under ``repro.cluster`` or
+#: ``repro.wire`` (a test holds the list to that).
 HOT_PATH_NAMES = frozenset(
     {
         # repro.cluster — executed once per round / per session.
         "run_round",
         "_run_session",
-        "_valid_stamp",
-        "_record_stamp",
-        "_maybe_record_uniform",
+        "_skip_identical",
         "deliver",
-        # repro.wire — executed once per frame on the encode direction.
+        # repro.wire — executed once per frame on the encode direction,
+        # or once per skipped session in encoded mode.
         "encode",
         "_assemble_frame",
         "vv",
+        "repeats_request",
     }
 )
 

@@ -71,15 +71,16 @@ baselines, and the experiment harness:
     *is* a full O(n·N) recomputation — that is the point of the
     cross-check mode).
 ``fastpath_skips``
-    Sessions the simulator's quiescent-pair fast path replayed from a
-    per-pair stamp instead of dispatching — each one is a provably
-    identical two-message exchange whose traffic was charged without
-    moving the messages.  The only counter where a fast-path run is
+    Sessions the simulator's quiescent fast path did not dispatch
+    because the responder's DBVV check said ``YouAreCurrent`` — each
+    one is a provably identical two-message exchange whose traffic was
+    charged without moving the messages.  The only counter where a fast-path run is
     *allowed* to differ from the unskipped loop.
 ``fastpath_crosschecks``
-    Sanitizer-mode verifications that a session the fast path would
-    have skipped really produced the predicted identical outcome,
-    message count, and byte count when actually dispatched.
+    Sanitizer-mode verifications, one per session on a transparent
+    fabric, that the dispatched session was identical exactly when the
+    fast path's check predicted it, with the charged message and byte
+    counts wherever a skip would have fired.
 """
 
 from __future__ import annotations

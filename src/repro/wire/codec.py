@@ -64,10 +64,21 @@ from repro.wire.varint import (
     write_uvarint,
 )
 
-__all__ = ["Decoder", "Encoder", "MAX_FRAME_LEN", "MAX_SEQUENCE_ITEMS", "WireCodec"]
+__all__ = [
+    "DBVV_STREAM",
+    "Decoder",
+    "Encoder",
+    "MAX_FRAME_LEN",
+    "MAX_SEQUENCE_ITEMS",
+    "WireCodec",
+]
 
 _FULL_VV = 0x00
 _DELTA_VV = 0x01
+
+#: The stream a :class:`~repro.core.messages.PropagationRequest`'s DBVV
+#: travels on (see :meth:`WireCodec.repeats_request`).
+DBVV_STREAM = "dbvv"
 
 #: Hard cap on a single frame's declared payload length.  A forged
 #: length prefix is rejected *before* anything is sized from it — a
@@ -463,7 +474,7 @@ class WireCodec:
     the comparison arm of the wire benchmark.
     """
 
-    __slots__ = ("delta_vv", "_sent", "_seen", "_pool", "_dpool")
+    __slots__ = ("delta_vv", "_sent", "_seen", "_pool", "_dpool", "_probe")
 
     def __init__(self, delta_vv: bool = True) -> None:
         self.delta_vv = delta_vv
@@ -484,6 +495,8 @@ class WireCodec:
         # each disconnect a scan of every cached stream in the process.
         self._sent: dict[tuple[int, int], dict[str, tuple[int, ...]]] = {}
         self._seen: dict[tuple[int, int], dict[str, tuple[int, ...]]] = {}
+        # Scratch codec for steady_frame_length, made on first use.
+        self._probe: WireCodec | None = None
 
     def encode(self, src: int, dst: int, message: Any) -> bytes:
         """Encode ``message`` into a length-prefixed frame for the
@@ -557,6 +570,34 @@ class WireCodec:
         finally:
             decoder.data = b""  # do not pin the frame from the pool
             dpool.append(decoder)
+
+    # -- steady-state queries -------------------------------------------------
+
+    def repeats_request(
+        self, src: int, dst: int, dbvv: tuple[int, ...]
+    ) -> bool:
+        """True when a ``PropagationRequest`` carrying ``dbvv`` would go
+        out on ``src -> dst`` as the two-byte unchanged delta: the
+        sender-side cache already holds that vector.  Encoding and
+        decoding such a request leave both caches as they are (the
+        receiver's cache moves in lockstep with the sender's until an
+        invalidation clears both)."""
+        streams = self._sent.get((src, dst))
+        base = None if streams is None else streams.get(DBVV_STREAM)
+        return base is not None and (base is dbvv or base == dbvv)
+
+    def steady_frame_length(self, src: int, dst: int, message: Any) -> int:
+        """Length of the frame ``message`` encodes to on ``src -> dst``
+        once that link's caches already hold every vector it carries.
+        Measured on a scratch codec, so this codec's caches do not move.
+        """
+        probe = self._probe
+        if probe is None:
+            probe = self._probe = WireCodec(self.delta_vv)
+        probe.encode(src, dst, message)
+        length = len(probe.encode(src, dst, message))
+        probe.invalidate_link(src, dst)
+        return length
 
     # -- cache invalidation ---------------------------------------------------
 

@@ -75,7 +75,7 @@ from repro.substrate.operations import (
     Truncate,
     UpdateOperation,
 )
-from repro.wire.codec import Decoder, Encoder
+from repro.wire.codec import DBVV_STREAM, Decoder, Encoder
 from repro.wire.registry import register
 
 __all__ = ["OP_TAGS", "decode_wire_op", "encode_wire_op"]
@@ -168,11 +168,11 @@ def _decode_item_payload(dec: Decoder) -> ItemPayload:
 
 def _encode_propagation_request(enc: Encoder, msg: PropagationRequest) -> None:
     enc.uvarint(msg.recipient)
-    enc.vv("dbvv", msg.dbvv)
+    enc.vv(DBVV_STREAM, msg.dbvv)
 
 
 def _decode_propagation_request(dec: Decoder) -> PropagationRequest:
-    return PropagationRequest(dec.uvarint(), dec.vv("dbvv"))
+    return PropagationRequest(dec.uvarint(), dec.vv(DBVV_STREAM))
 
 
 def _encode_you_are_current(enc: Encoder, msg: YouAreCurrent) -> None:

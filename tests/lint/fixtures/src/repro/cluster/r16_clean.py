@@ -20,7 +20,7 @@ class Sim:
         encoder.reset()
         return encoder
 
-    def _record_stamp(self, node_id, peer, session):
-        # Stamps hold references to already-materialized state; nothing
-        # fresh is built per session.
-        self._stamps[(node_id, peer)] = session.version
+    def _skip_identical(self, node_id, peer, session):
+        # The exchange holds references to already-materialized state;
+        # nothing fresh is built per session.
+        self._exchanges[(node_id, peer)] = session.version

@@ -16,6 +16,6 @@ class Sim:
         frame += b"\x00"
         return baseline, frame
 
-    def _record_stamp(self, node_id, peer, session):
+    def _skip_identical(self, node_id, peer, session):
         copy = VersionVector.from_counts(session.counts)  # flagged: fresh VV
-        self._stamps[(node_id, peer)] = copy
+        self._exchanges[(node_id, peer)] = copy

@@ -7,6 +7,7 @@ fixtures must be clean under *all* rules, which keeps one rule's "good"
 example from tripping another rule unnoticed.
 """
 
+import ast
 from pathlib import Path
 
 import pytest
@@ -248,6 +249,23 @@ class TestRuleScoping:
         assert not lint_source(source, "src/repro/core/protocol.py", ALL_RULES)
         assert not lint_source(source, "tests/core/test_node.py", ALL_RULES)
         assert lint_source(source, "src/repro/experiments/e1.py", ALL_RULES)
+
+    def test_r16_hot_path_names_are_defined(self):
+        # A hot function that is renamed or deleted silently drops out of
+        # R16's scope; every listed name must still be defined where the
+        # rule looks.
+        import repro
+        from repro.lint.rules.r16_alloc_reuse import HOT_PATH_NAMES
+
+        root = Path(repro.__file__).parent
+        defined = {
+            node.name
+            for sub in ("cluster", "wire")
+            for path in (root / sub).rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        assert HOT_PATH_NAMES <= defined, sorted(HOT_PATH_NAMES - defined)
 
     def test_fixture_scope_matches_real_module_scope(self):
         fixture = make_scope(VIOLATION_FIXTURES["R1"][0])

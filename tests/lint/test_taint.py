@@ -285,6 +285,23 @@ class TestAcceptance:
             == []
         )
 
+    def test_session_driver_is_outside_r15(self):
+        # The same swallow shape R15 flags in repro.net is not R15's
+        # business in the session driver, which handles no decoded values.
+        source = (
+            "def conclude(codec, frame):\n"
+            "    try:\n"
+            "        return codec.decode(frame)\n"
+            "    except ValueError:\n"
+            "        pass\n"
+        )
+        hits = lint_source(source, "src/repro/net/node.py", rules_by_id("R15"))
+        assert len(hits) == 1 and hits[0].rule_id == "R15"
+        assert (
+            lint_source(source, "src/repro/core/session.py", rules_by_id("R15"))
+            == []
+        )
+
     def test_seeded_taint_in_net_shape_is_flagged(self):
         source = (
             "async def sync_with(self, peer_id, link, pull):\n"

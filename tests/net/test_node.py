@@ -32,7 +32,9 @@ ITEMS = ("a", "b")
 async def start_nodes(
     n, items=ITEMS, reconnect_attempts=1, anti_entropy_period=0.0, seed=0
 ):
-    ports = _free_ports(n)
+    # Pick the client ports up front too: a client listener on port 0
+    # could take a peer port picked for a node that has not started yet.
+    ports = _free_ports(2 * n)
     nodes = []
     for node_id in range(n):
         peers = tuple(
@@ -46,6 +48,7 @@ async def start_nodes(
                     node_id=node_id,
                     items=items,
                     peer_port=ports[node_id],
+                    client_port=ports[n + node_id],
                     peers=peers,
                     reconnect_attempts=reconnect_attempts,
                     anti_entropy_period=anti_entropy_period,
